@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.cluster.routing import partition_keys
+from repro.core.vectorized import median_of_rows
 from repro.hashing.vectorized import encode_keys
 from repro.observability.registry import MetricsRegistry, get_registry
 from repro.service.client import AsyncServiceClient
@@ -85,14 +86,16 @@ def _median_rows(kind: str, rows: Sequence[Sequence[int]]) -> list[float]:
     inner sketch is scalar) take ``statistics.median`` over per-row
     float casts — exactly :meth:`CountSketch.estimate`'s arithmetic,
     since ``float(a·s) == float(a)·s`` for ``s = ±1``.  ``vectorized``
-    goes through the same float64 array and ``np.median`` reduction as
-    :meth:`VectorizedCountSketch.estimate_batch`.
+    goes through the same :func:`median_of_rows` reduction as
+    :meth:`VectorizedCountSketch.estimate_batch`, on a float64 array
+    (summed readouts need not fit in int64).
     """
     if not rows:
         return []
     if kind == "vectorized":
         stacked = np.array(rows, dtype=np.float64).T
-        return [float(value) for value in np.median(stacked, axis=0)]
+        result: list[float] = median_of_rows(stacked).tolist()
+        return result
     return [
         statistics.median([float(value) for value in item_rows])
         for item_rows in rows

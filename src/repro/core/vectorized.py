@@ -48,6 +48,29 @@ class _VectorizedMetrics:
         )
 
 
+def _as_keys(items: Iterable[Hashable] | np.ndarray) -> np.ndarray:
+    if isinstance(items, np.ndarray) and items.dtype == np.uint64:
+        return items
+    return encode_keys(items)
+
+
+def median_of_rows(rows: np.ndarray) -> np.ndarray:
+    """Column medians of a ``(depth, n)`` int64 or float64 array, as float64.
+
+    Bit-equal to ``np.median(rows.astype(np.float64), axis=0)`` for
+    values without NaN: the int64 to float64 cast never reorders values,
+    so sorting first and casting the middle row (odd depth) gives the
+    same float, and for even depth ``(lo + hi) / 2`` over the two middle
+    rows is the same float64 arithmetic ``np.median`` performs.
+    """
+    depth = rows.shape[0]
+    ordered = np.sort(rows, axis=0)
+    middle = ordered[depth // 2].astype(np.float64)
+    if depth % 2:
+        return middle
+    return (ordered[depth // 2 - 1] + middle) / 2
+
+
 class VectorizedCountSketch:
     """A Count Sketch with NumPy batch update/estimate paths.
 
@@ -61,6 +84,8 @@ class VectorizedCountSketch:
     def __init__(self, depth: int, width: int, seed: int = 0) -> None:
         self._hashes = VectorizedRowHashes(depth, width, seed)
         self._counters = np.zeros((depth, width), dtype=np.int64)
+        self._row_starts = np.arange(0, depth * width, width,
+                                     dtype=np.int64)[:, None]
         self._total_weight = 0
         registry = get_registry()
         self._metrics = (
@@ -119,10 +144,7 @@ class VectorizedCountSketch:
             weights: optional per-item weights (default 1 each); negative
                 weights delete, preserving linearity.
         """
-        if isinstance(items, np.ndarray) and items.dtype == np.uint64:
-            keys = items
-        else:
-            keys = encode_keys(items)
+        keys = _as_keys(items)
         if keys.size == 0:
             return
         if weights is None:
@@ -160,22 +182,18 @@ class VectorizedCountSketch:
     def estimate_batch(
         self, items: Iterable[Hashable] | np.ndarray
     ) -> np.ndarray:
-        """Median-of-rows estimates for a whole batch of items."""
-        if isinstance(items, np.ndarray) and items.dtype == np.uint64:
-            keys = items
-        else:
-            keys = encode_keys(items)
+        """Median-of-rows estimates for a whole batch of items.
+
+        One all-rows hash, one gather and one sort per batch; the result
+        is bit-equal to ``np.median`` over the float64 cast of
+        :meth:`row_values_batch` (see :func:`median_of_rows`).
+        """
+        keys = _as_keys(items)
         if keys.size == 0:
             return np.zeros(0, dtype=np.float64)
         if self._metrics is not None:
             self._metrics.estimate_items.inc(int(keys.size))
-        rows = np.empty((self.depth, keys.size), dtype=np.float64)
-        for row in range(self.depth):
-            buckets = self._hashes.buckets(keys, row)
-            rows[row] = (
-                self._counters[row, buckets] * self._hashes.signs(keys, row)
-            )
-        return np.median(rows, axis=0)
+        return median_of_rows(self._row_values(keys))
 
     def estimate(self, item: Hashable) -> float:
         """Single-item estimate (protocol compatibility)."""
@@ -194,17 +212,16 @@ class VectorizedCountSketch:
         their merge, which is what makes distributed scatter-gather
         estimates bit-equal to a single merged sketch.
         """
-        if isinstance(items, np.ndarray) and items.dtype == np.uint64:
-            keys = items
-        else:
-            keys = encode_keys(items)
-        rows = np.empty((self.depth, keys.size), dtype=np.int64)
-        for row in range(self.depth):
-            buckets = self._hashes.buckets(keys, row)
-            rows[row] = (
-                self._counters[row, buckets] * self._hashes.signs(keys, row)
-            )
-        return rows
+        return self._row_values(_as_keys(items))
+
+    def _row_values(self, keys: np.ndarray) -> np.ndarray:
+        buckets, signs = self._hashes.all_rows(keys)
+        # Offsetting each row's buckets by its start in the flattened
+        # counters turns the per-row lookup into one gather.
+        buckets += self._row_starts
+        values = np.take(self._counters, buckets)
+        values *= signs
+        return values
 
     def estimate_f2(self) -> float:
         """AMS-style second-moment estimate (median of row sums of squares)."""

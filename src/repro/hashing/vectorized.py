@@ -3,9 +3,11 @@
 The scalar polynomial family (:mod:`repro.hashing.mersenne`) is the
 analysis-faithful default, but it hashes one key at a time in Python.
 For batch workloads — millions of pre-encoded integer keys — this module
-provides row hashing as three NumPy operations per row: a multiply (which
+hashes a key array against every row at once: the per-row multipliers and
+addends broadcast against the keys as a ``(depth, n)`` multiply (which
 NumPy wraps mod ``2**64``, exactly the multiply-shift ring), an add, and a
-shift/mod.
+shift/mod, all inside one ``np.errstate`` block.  A single-row form is
+kept for the update path, which scatters row by row.
 
 Independence caveat, documented rather than hidden: 64-bit multiply-shift
 is universal but not pairwise independent in the strict sense the paper's
@@ -120,6 +122,31 @@ class VectorizedRowHashes:
         with np.errstate(over="ignore"):
             mixed = keys * self._sign_mult[row] + self._sign_add[row]
         return 1 - 2 * (mixed >> np.uint64(63)).astype(np.int64)
+
+    def all_rows(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bucket indices and signs for ``keys`` in every row at once.
+
+        Returns two fresh ``(depth, n)`` int64 arrays whose row ``i``
+        equals ``buckets(keys, i)`` and ``signs(keys, i)``; callers may
+        modify them in place.  The multipliers and addends broadcast
+        down the rows, and every step after the first multiply runs in
+        place, so the temporaries stay at two ``(depth, n)`` arrays.
+        """
+        with np.errstate(over="ignore"):
+            buckets = keys * self._bucket_mult[:, None]
+            buckets += self._bucket_add[:, None]
+            signs = keys * self._sign_mult[:, None]
+            signs += self._sign_add[:, None]
+        # After the shifts every value fits in 32 bits, so reading the
+        # words as int64 is the value-preserving cast without a copy.
+        buckets >>= np.uint64(32)
+        buckets = buckets.view(np.int64)
+        buckets %= self._width
+        signs >>= np.uint64(63)
+        signs = signs.view(np.int64)
+        signs *= -2
+        signs += 1
+        return buckets, signs
 
     def same_functions(self, other: VectorizedRowHashes) -> bool:
         """True iff both instances hash identically (shared randomness)."""

@@ -146,8 +146,6 @@ USAGE = [
                  id="serve-non-integer-table-weight"),
     pytest.param(["serve", "--table", "q", "--ingest-burst", "8"],
                  id="serve-burst-without-rate"),
-    pytest.param(["serve", "--table", "q", "--estimate-cache", "1"],
-                 id="serve-estimate-cache-too-small"),
     pytest.param(["traffic", "--arrival", "poisson"],
                  id="traffic-open-loop-needs-rate"),
     pytest.param(["traffic", "--tenants", "0"],
