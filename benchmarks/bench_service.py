@@ -6,9 +6,13 @@ Measures, over a seeded Zipf(1.0) stream:
   in-process (frame codec, no kernel), TCP loopback over the JSON
   protocol (sequential requests, what the original wire paid), and TCP
   loopback over the binary wire with pipelined acks
-  (``AsyncServiceClient.ingest_many``).  The offline
+  (``AsyncServiceClient.ingest_many``), and TCP loopback of
+  ``uint64``/``int64`` arrays through ``AsyncServiceClient.ingest_arrays``
+  (one batch per request, no record boxing at all).  The offline
   :class:`~repro.core.vectorized.VectorizedCountSketch` batch-update
-  loop is reported alongside as the no-server ceiling, so the service
+  loop is reported alongside as the no-server ceiling, fed both ways: a
+  Python list of ints (what the record-based client paths start from)
+  and pre-encoded arrays (what a sketch consumes), so the service
   overhead is visible as a percentage.
 * **query latency** — per-request ``estimate`` latency (p50/p99 ms)
   from several concurrent clients while a background producer keeps
@@ -17,17 +21,19 @@ Measures, over a seeded Zipf(1.0) stream:
 
 Every ingest pass ends with a correctness probe: the served estimates
 for a handful of head items must equal an offline sketch built from the
-same records.  The binary pass additionally probes *mid-stream* — after
-the first half of the stream, served estimates must be bit-equal to an
-offline sketch fed exactly that prefix — so the bench doubles as an
-exactness smoke for read-your-acknowledged-writes.
+same records.  The binary and array passes additionally probe
+*mid-stream* — after the first half of the stream, served estimates
+must be bit-equal to an offline sketch fed exactly that prefix — so the
+bench doubles as an exactness smoke for read-your-acknowledged-writes
+(any mismatch raises).
 
 ``--gate`` asserts the regression bound from ROADMAP item 1: binary TCP
-ingest at the largest batch size must reach at least 50% of the offline
-ceiling.
+ingest at the largest batch size must reach at least 50% of the
+list-fed offline ceiling.
 
-Emits a BENCH json (``benchmarks/out/BENCH_service.json``) so future
-perf PRs have a trajectory.
+A full run writes ``benchmarks/out/BENCH_service.json`` so future perf
+PRs have a trajectory; ``--smoke`` writes ``.bench_tmp/BENCH_service.json``
+instead (git-ignored), leaving the committed full-run record alone.
 
 Run::
 
@@ -43,6 +49,8 @@ import asyncio
 import json
 import sys
 import time
+from collections.abc import Awaitable, Callable
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +62,8 @@ from repro.service.tables import TableSpec
 from repro.streams.zipf import ZipfStreamGenerator
 
 OUT_PATH = Path(__file__).parent / "out" / "BENCH_service.json"
+SMOKE_PATH = (Path(__file__).resolve().parent.parent / ".bench_tmp"
+              / "BENCH_service.json")
 
 DEPTH = 5
 WIDTH = 1024
@@ -81,15 +91,20 @@ def _offline_reference(stream: list) -> VectorizedCountSketch:
     return sketch
 
 
-async def _send(client: AsyncServiceClient, table: str, records: list,
-                *, wait: bool = False) -> None:
-    """Ingest one batch, yielding to the applier on backpressure."""
+async def _retry(call: Callable[[], Awaitable[int]]) -> None:
+    """Send one batch, yielding to the applier on backpressure."""
     while True:
         try:
-            await client.ingest(table, records, wait=wait)
+            await call()
             return
         except OverloadedError:
             await asyncio.sleep(0)
+
+
+async def _send(client: AsyncServiceClient, table: str, records: list,
+                *, wait: bool = False) -> None:
+    """Ingest one batch of records (see :func:`_retry`)."""
+    await _retry(partial(client.ingest, table, records, wait=wait))
 
 
 async def _ingest_stream(client: AsyncServiceClient, chunks: list[list]
@@ -106,7 +121,9 @@ async def _assert_probe(client: AsyncServiceClient,
                         reference: VectorizedCountSketch) -> None:
     served = await client.estimate(SPEC.name, PROBE_ITEMS)
     expected = [reference.estimate(item) for item in PROBE_ITEMS]
-    assert served == expected, "served estimates must match offline"
+    if served != expected:
+        raise AssertionError(
+            f"served estimates {served} differ from offline {expected}")
 
 
 def bench_ingest_in_process(stream: list, batch: int, repeats: int,
@@ -182,15 +199,56 @@ def bench_ingest_tcp_binary(stream: list, batch: int, repeats: int,
     return max(asyncio.run(once()) for __ in range(repeats))
 
 
-def bench_offline(stream: list, batch: int, repeats: int) -> float:
-    """The no-server ceiling: direct vectorized batch updates."""
+def bench_ingest_tcp_arrays(stream: list, batch: int, repeats: int,
+                            reference: VectorizedCountSketch) -> float:
+    """Best-of TCP ingest rate of pre-encoded arrays (items/s).
+
+    One ``ingest_arrays`` request per batch over the binary wire, with
+    the same mid-stream exactness probe as the pipelined binary pass.
+    """
+    half = len(stream) // 2
+    reference_half = _offline_reference(stream[:half])
+    keys = np.asarray(stream, dtype=np.uint64)
+    ones = np.ones(len(stream), dtype=np.int64)
+
+    async def send(client: AsyncServiceClient, start: int, stop: int
+                   ) -> None:
+        for first in range(start, stop, batch):
+            last = min(first + batch, stop)
+            await _retry(partial(
+                client.ingest_arrays, SPEC.name, keys[first:last],
+                ones[first:last], wait=last == stop))
+
+    async def once() -> float:
+        server = SketchServer([SPEC])
+        host, port = await server.start("127.0.0.1", 0)
+        client = await AsyncServiceClient.connect(host, port,
+                                                  wire="binary")
+        start = time.perf_counter()
+        await send(client, 0, half)
+        await _assert_probe(client, reference_half)
+        await send(client, half, len(stream))
+        rate = len(stream) / (time.perf_counter() - start)
+        await _assert_probe(client, reference)
+        await client.close()
+        await server.stop()
+        return rate
+
+    return max(asyncio.run(once()) for __ in range(repeats))
+
+
+def bench_offline(stream: list, batch: int, repeats: int, *,
+                  arrays: bool = False) -> float:
+    """The no-server ceiling: direct vectorized batch updates, fed
+    Python lists of ints or (``arrays``) ``uint64`` key arrays."""
+    keys = np.asarray(stream, dtype=np.uint64) if arrays else stream
 
     def once() -> float:
         sketch = VectorizedCountSketch(DEPTH, WIDTH, seed=SEED)
-        chunks = _chunks(stream, batch)
         ones = np.ones(batch, dtype=np.int64)
         start = time.perf_counter()
-        for chunk in chunks:
+        for first in range(0, len(stream), batch):
+            chunk = keys[first:first + batch]
             sketch.update_batch(chunk, ones[:len(chunk)])
         return len(stream) / (time.perf_counter() - start)
 
@@ -266,17 +324,22 @@ def run(n: int, batches: list[int], repeats: int, queries: int,
     ingest = []
     for batch in batches:
         offline = bench_offline(stream, batch, repeats)
+        offline_arrays = bench_offline(stream, batch, repeats, arrays=True)
         in_process = bench_ingest_in_process(stream, batch, repeats,
                                              reference)
         tcp_json = bench_ingest_tcp(stream, batch, repeats, reference)
         tcp_binary = bench_ingest_tcp_binary(stream, batch, repeats,
                                              reference)
+        tcp_arrays = bench_ingest_tcp_arrays(stream, batch, repeats,
+                                             reference)
         ingest.append({
             "batch": batch,
             "offline_items_per_s": round(offline),
+            "offline_arrays_items_per_s": round(offline_arrays),
             "in_process_items_per_s": round(in_process),
             "tcp_json_items_per_s": round(tcp_json),
             "tcp_binary_items_per_s": round(tcp_binary),
+            "tcp_arrays_items_per_s": round(tcp_arrays),
             "in_process_overhead_pct": round(
                 100.0 * (offline - in_process) / offline, 1
             ),
@@ -288,6 +351,9 @@ def run(n: int, batches: list[int], repeats: int, queries: int,
             ),
             "tcp_binary_of_offline_pct": round(
                 100.0 * tcp_binary / offline, 1
+            ),
+            "tcp_arrays_of_offline_arrays_pct": round(
+                100.0 * tcp_arrays / offline_arrays, 1
             ),
         })
     latency = bench_query_latency(stream, queries, concurrency,
@@ -304,14 +370,14 @@ def run(n: int, batches: list[int], repeats: int, queries: int,
 
 def check_gate(record: dict) -> str | None:
     """The ROADMAP item 1 bound: binary TCP ingest at the largest batch
-    must reach ≥50% of the offline ceiling.  Returns the failure
+    must reach ≥50% of the list-fed offline ceiling.  Returns the failure
     message, or ``None`` when the gate holds."""
     row = record["ingest"][-1]
     achieved = row["tcp_binary_of_offline_pct"]
     if achieved < 50.0:
         return (
             f"gate FAILED: binary TCP ingest at batch {row['batch']} "
-            f"reached {achieved:.1f}% of the offline ceiling "
+            f"reached {achieved:.1f}% of the list-fed offline ceiling "
             f"({row['tcp_binary_items_per_s']:,}/s vs "
             f"{row['offline_items_per_s']:,}/s); the bound is 50%"
         )
@@ -322,16 +388,17 @@ def format_report(record: dict) -> str:
     """Human-readable summary of one BENCH record."""
     lines = [
         "BENCH service (n={n}, best of {repeats})".format(**record),
-        "  {:<7} {:>13} {:>13} {:>13} {:>13} {:>8}".format(
-            "batch", "offline/s", "in-proc/s", "tcp-json/s", "tcp-bin/s",
-            "bin/off"
+        "  {:<6} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11} {:>8}".format(
+            "batch", "off-list/s", "off-arr/s", "in-proc/s", "tcp-json/s",
+            "tcp-bin/s", "tcp-arr/s", "bin/off"
         ),
     ]
     for row in record["ingest"]:
         lines.append(
-            "  {batch:<7} {offline_items_per_s:>13,} "
-            "{in_process_items_per_s:>13,} {tcp_json_items_per_s:>13,} "
-            "{tcp_binary_items_per_s:>13,} "
+            "  {batch:<6} {offline_items_per_s:>11,} "
+            "{offline_arrays_items_per_s:>11,} "
+            "{in_process_items_per_s:>11,} {tcp_json_items_per_s:>11,} "
+            "{tcp_binary_items_per_s:>11,} {tcp_arrays_items_per_s:>11,} "
             "{tcp_binary_of_offline_pct:>7.1f}%".format(**row)
         )
     latency = record["query_latency"]
@@ -363,9 +430,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--gate", action="store_true",
                         help="fail (exit 1) unless binary TCP ingest at "
                              "the largest batch reaches 50%% of the "
-                             "offline ceiling")
-    parser.add_argument("--json", dest="json_path", default=str(OUT_PATH),
-                        help=f"BENCH json output path (default {OUT_PATH})")
+                             "list-fed offline ceiling")
+    parser.add_argument("--json", dest="json_path", default=None,
+                        help=f"BENCH json output path (default {OUT_PATH}, "
+                             f"or {SMOKE_PATH} with --smoke)")
     args = parser.parse_args(argv)
 
     n = min(args.n, 10_000) if args.smoke else args.n
@@ -377,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     record = run(n, batches, repeats, queries, concurrency)
     print(format_report(record))
 
-    path = Path(args.json_path)
+    path = Path(args.json_path or (SMOKE_PATH if args.smoke else OUT_PATH))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {path}")

@@ -45,7 +45,7 @@ from repro.cluster.routing import partition_keys
 from repro.core.vectorized import median_of_rows
 from repro.hashing.vectorized import encode_keys
 from repro.observability.registry import MetricsRegistry, get_registry
-from repro.service.client import AsyncServiceClient
+from repro.service.client import AsyncServiceClient, record_arrays
 from repro.service.tables import TableSpec
 from repro.store.archive import ArchiveDiffEntry
 
@@ -235,12 +235,12 @@ class ClusterCoordinator:
     ) -> int:
         """Route one batch of ``(item, count)`` records to its shards.
 
-        The batch is encoded once (``encode_keys``); the resulting u64
-        images drive both jump-hash routing here and bucket hashing on
-        the shard.  Linear-sketch tables ship the integer key image
-        itself (``encode_key`` is the identity mod ``2**64`` on ints,
-        so the shard hashes the same image); ``topk`` tables ship the
-        original items, which their candidate heaps must store.
+        The batch is converted once (``record_arrays``, ``encode_keys``);
+        the u64 images drive both jump-hash routing here and bucket
+        hashing on the shard.  Linear-sketch tables ship each shard its
+        slice of the key and count arrays (``ingest_arrays``); ``topk``
+        tables ship the original items, which their candidate heaps
+        must store.  Bad counts raise ``bad_request`` before any send.
 
         ``wait=True`` acknowledges only after every routed sub-batch is
         *applied* on its shard — the cluster-wide read barrier.
@@ -255,29 +255,31 @@ class ClusterCoordinator:
         same call may already be acknowledged — retry the whole batch
         only on linear-sketch tables, where re-adding commutes (§3.2).
         """
-        pairs = [(item, int(count)) for item, count in records]
-        if not pairs:
+        items, counts = record_arrays(records, encode=False)
+        if not counts.size:
             return 0
         spec = await self._table_spec(table)
-        ship_originals = spec["kind"] == "topk"
-        keys = encode_keys([item for item, _ in pairs])
+        keys = encode_keys(items)
         shards = partition_keys(keys, self.n_shards)
         calls = []
         for shard, positions in enumerate(shards):
             if positions.size == 0:
                 continue
-            if ship_originals:
-                routed = [pairs[index] for index in positions]
+            client = self._clients[shard]
+            if spec["kind"] == "topk":
+                calls.append(client.ingest(table, [
+                    (items[index], count) for index, count in zip(
+                        positions.tolist(), counts[positions].tolist(),
+                        strict=True)
+                ], wait=wait))
             else:
-                routed = [(int(keys[index]), pairs[index][1])
-                          for index in positions]
-            calls.append(
-                self._clients[shard].ingest(table, routed, wait=wait))
+                calls.append(client.ingest_arrays(
+                    table, keys[positions], counts[positions], wait=wait))
         await self._gather(calls)
         if self._metrics is not None:
             self._metrics.ingest_batches.inc()
-            self._metrics.ingest_records.inc(len(pairs))
-        return len(pairs)
+            self._metrics.ingest_records.inc(counts.size)
+        return int(counts.size)
 
     async def ingest_items(
         self, table: str, items: Iterable[Hashable], *, wait: bool = False

@@ -21,6 +21,7 @@ the letter of the analysis should use the scalar
 
 from __future__ import annotations
 
+import contextlib
 from collections.abc import Hashable, Iterable
 
 import numpy as np
@@ -32,31 +33,31 @@ from repro.hashing.family import seeded_rng
 def encode_keys(items: Iterable[Hashable] | np.ndarray) -> np.ndarray:
     """Encode an iterable of stream items to a uint64 key array.
 
-    Integer items — Python ``int``, ``np.integer`` scalars, and whole
-    integer-dtype ndarrays — take a vectorized fast path with the same
-    mod-``2**64`` wrap semantics as :func:`repro.hashing.encode.encode_key`
-    (negative values map to their two's-complement uint64 image).  Other
-    supported types go through ``encode_key`` item by item (one Python
-    loop, after which everything downstream is vectorized).
+    Integer-dtype ndarrays are cast directly.  Other input takes a dtype
+    fast path when ``set(map(type, items))`` holds only ``int``,
+    ``bool``, ``np.integer`` and ``np.bool_``: one ``np.asarray`` call,
+    whose 1-D int/uint/bool result is cast with ``astype(np.uint64)`` —
+    the same mod-``2**64`` wrap as :func:`repro.hashing.encode.encode_key`.
+    Where NumPy infers ``float64`` (negatives mixed with values
+    ``>= 2**63``) or ``object`` (ints wider than 64 bits), the ints wrap
+    exactly one by one.  Other types (str, bytes, float, tuple) go
+    through ``encode_key`` item by item.
     """
     if isinstance(items, np.ndarray):
         if items.dtype == np.uint64:
             return items
         if items.dtype.kind in "iu":
-            # Signed→unsigned astype is a value-preserving C cast mod
-            # 2**64, matching encode_key's `value & ((1 << 64) - 1)`.
             return items.astype(np.uint64)
     items = list(items)
-    if all(isinstance(item, (int, np.integer))
-           and not isinstance(item, (bool, np.bool_))
-           for item in items):
-        try:
-            return np.asarray(items, dtype=np.uint64)
-        except (OverflowError, TypeError, ValueError):
-            # Negative or >64-bit ints: wrap mod 2**64 like encode_key.
-            mask = (1 << 64) - 1
-            return np.asarray([int(item) & mask for item in items],
-                              dtype=np.uint64)
+    if all(issubclass(kind, (int, np.integer, np.bool_))
+           for kind in set(map(type, items))):
+        with contextlib.suppress(OverflowError):
+            inferred = np.asarray(items)
+            if inferred.ndim == 1 and inferred.dtype.kind in "iub":
+                return inferred.astype(np.uint64)
+        mask = (1 << 64) - 1
+        return np.asarray([int(item) & mask for item in items],
+                          dtype=np.uint64)
     return np.asarray([encode_key(item) for item in items], dtype=np.uint64)
 
 

@@ -20,11 +20,12 @@ Three layers:
 
 Wire negotiation: with ``wire="auto"`` (the default) the client pings
 the server once, and uses binary ingest frames whenever the server
-advertises ``binary-ingest-v1`` — raw pre-encoded 64-bit keys for
-tables that never store original items, lossless packed keys for
-``topk`` tables.  ``wire="json"`` forces the canonical JSON protocol;
-``wire="binary"`` raises instead of silently falling back.  Everything
-except ingest always travels as JSON.
+advertises ``binary-ingest-v1`` — raw pre-encoded 64-bit keys (slices
+of the arrays :func:`record_arrays` builds once per batch, or that
+``ingest_arrays`` is given) for tables that never store original
+items, lossless packed keys for ``topk`` tables.  ``wire="json"``
+forces the canonical JSON protocol; ``wire="binary"`` raises instead
+of silently falling back.  Everything except ingest travels as JSON.
 
 Batches that would exceed ``MAX_FRAME_BYTES`` are split into several
 frames automatically (JSON and binary alike).  Ack semantics per frame
@@ -81,6 +82,7 @@ __all__ = [
     "ServiceError",
     "TcpTransport",
     "WIRE_MODES",
+    "record_arrays",
 ]
 
 #: Ingest wire preferences a client accepts.
@@ -88,9 +90,6 @@ WIRE_MODES = ("auto", "json", "binary")
 
 #: Default number of in-flight frames during pipelined ingest.
 _DEFAULT_WINDOW = 32
-
-class _WeightOverflow(Exception):
-    """Internal: a weight exceeds int64 (binary frames cannot carry it)."""
 
 
 class ServiceError(Exception):
@@ -165,6 +164,53 @@ def _checked_response(
             f"unexpected non-JSON frame from server: {type(response).__name__}",
         )
     return response
+
+
+#: One ingest batch as arrays: ``uint64`` ``encode_key`` images (or the
+#: original items, where a wire needs them) and ``int64`` counts.
+ArrayBatch = tuple["np.ndarray | list[Hashable]", np.ndarray]
+
+
+def record_arrays(
+    records: Iterable[tuple[Hashable, int]], *, encode: bool = True
+) -> ArrayBatch:
+    """Convert one batch of ``(item, count)`` records to arrays: two
+    comprehensions, one :func:`encode_keys` call (``encode=False``
+    keeps the items) and one ``int64`` count array.  Like the server,
+    it refuses ``bool``, float and string counts instead of truncating.
+
+    Raises:
+        ServiceError: ``bad_request`` for a non-integer or non-int64 count.
+        WireProtocolError: for a key type ``encode_key`` cannot hash.
+    """
+    pairs = records if isinstance(records, list) else list(records)
+    items = [item for item, _ in pairs]
+    counts = [count for _, count in pairs]
+    if set(map(type, counts)) - {int}:
+        for index, count in enumerate(counts):
+            if type(count) is bool or not isinstance(count, (int, np.integer)):
+                raise ServiceError(
+                    "bad_request",
+                    f"record {index} has a non-integer count {count!r}",
+                )
+        counts = [int(count) for count in counts]
+    try:
+        count_array = np.array(counts, dtype=np.int64)
+    except OverflowError:
+        raise ServiceError(
+            "bad_request",
+            "ingest counts must fit in int64; counters are 64-bit",
+        ) from None
+    if not encode:
+        return items, count_array
+    try:
+        return encode_keys(items), count_array
+    except TypeError:
+        # Re-validate through normalize_key for the same clear
+        # boundary error the JSON wire raises.
+        for item in items:
+            normalize_key(item)
+        raise
 
 
 class TcpTransport:
@@ -408,132 +454,101 @@ class AsyncServiceClient:
             self._table_kinds[table] = kind
         return kind
 
-    def _build_json_frames(
-        self,
-        table: str,
-        pairs: list[tuple[Hashable, int]],
-        *,
-        wait: bool,
-    ) -> list[tuple[bytes, list[tuple[Hashable, int]]]]:
-        """Pack pairs into JSON ingest frames, halving on oversize.
+    def _json_frames(
+        self, table: str, batch: ArrayBatch, *, wait: bool
+    ) -> list[tuple[bytes, ArrayBatch]]:
+        """Pack a batch into JSON ingest frames, halving on oversize.
 
         Ack semantics: only the final frame carries ``wait``, and the
         applier is FIFO per table, so its application implies all
         earlier sub-batches applied too.
         """
+        keys, counts = batch
+        wire_keys = (keys.tolist() if isinstance(keys, np.ndarray)
+                     else [encode_wire_key(item) for item in keys])
         message: dict[str, Any] = {
             "op": "ingest",
             "id": next(self._ids),
             "table": table,
-            "records": [[encode_wire_key(item), count]
-                        for item, count in pairs],
+            "records": list(zip(wire_keys, counts.tolist())),
         }
         if wait:
             message["wait"] = True
         try:
-            return [(pack_frame(message), pairs)]
+            return [(pack_frame(message), batch)]
         except FrameTooLargeError:
-            if len(pairs) <= 1:
+            if counts.size <= 1:
                 raise
-        middle = len(pairs) // 2
+        middle = counts.size // 2
         return (
-            self._build_json_frames(table, pairs[:middle], wait=False)
-            + self._build_json_frames(table, pairs[middle:], wait=wait)
+            self._json_frames(table, (keys[:middle], counts[:middle]),
+                              wait=False)
+            + self._json_frames(table, (keys[middle:], counts[middle:]),
+                                wait=wait)
         )
 
-    def _build_binary_frames(
-        self,
-        table: str,
-        pairs: list[tuple[Hashable, int]],
-        *,
-        raw: bool,
-        wait: bool,
-    ) -> list[tuple[bytes, list[tuple[Hashable, int]]]]:
-        """Pack pairs into binary ingest frames within the byte budget."""
-        chunks: list[list[tuple[Hashable, int]]]
-        blobs: list[list[bytes]] = []
-        if raw:
-            capacity = binary_ingest_capacity(table)
-            chunks = [pairs[start:start + capacity]
-                      for start in range(0, len(pairs), capacity)] or [[]]
+    def _binary_frames(
+        self, table: str, batch: ArrayBatch, *, wait: bool
+    ) -> list[tuple[bytes, ArrayBatch]]:
+        """Pack a batch into binary ingest frames within the byte budget:
+        raw frames are slices of the key and count arrays."""
+        keys, counts = batch
+        raw = isinstance(keys, np.ndarray)
+        if isinstance(keys, np.ndarray):
+            blocks: np.ndarray | list[bytes] = keys
+            step = binary_ingest_capacity(table)
+            cuts = [(start, start + step)
+                    for start in range(0, max(counts.size, 1), step)]
         else:
             # Packed keys are variable-size: fill greedily, leaving
             # generous headroom for the fixed header and length fields.
+            blocks = [pack_key(item) for item in keys]
             budget = MAX_FRAME_BYTES - 4096
-            chunks = [[]]
-            blobs = [[]]
-            used = 0
-            for item, count in pairs:
-                blob = pack_key(item)
+            cuts = []
+            start = used = 0
+            for index, blob in enumerate(blocks):
                 cost = len(blob) + 8
-                if chunks[-1] and used + cost > budget:
-                    chunks.append([])
-                    blobs.append([])
-                    used = 0
-                chunks[-1].append((item, count))
-                blobs[-1].append(blob)
+                if index > start and used + cost > budget:
+                    cuts.append((start, index))
+                    start, used = index, 0
                 used += cost
-        frames: list[tuple[bytes, list[tuple[Hashable, int]]]] = []
-        for index, chunk in enumerate(chunks):
-            try:
-                weights = np.array([count for _, count in chunk],
-                                   dtype=np.int64)
-            except OverflowError:
-                raise _WeightOverflow() from None
-            keys: np.ndarray | list[bytes]
-            if raw:
-                try:
-                    keys = np.ascontiguousarray(
-                        encode_keys([item for item, _ in chunk]),
-                        dtype=np.uint64,
-                    )
-                except TypeError:
-                    # Re-validate through normalize_key for the same
-                    # clear boundary error the JSON wire raises.
-                    for item, _ in chunk:
-                        normalize_key(item)
-                    raise
-            else:
-                keys = blobs[index]
-            frames.append((
+            cuts.append((start, counts.size))
+        return [
+            (
                 pack_binary_ingest(
-                    table,
-                    next(self._ids),
-                    keys,
-                    weights,
-                    raw=raw,
-                    wait=wait and index == len(chunks) - 1,
+                    table, next(self._ids), blocks[start:stop],
+                    counts[start:stop], raw=raw,
+                    wait=wait and index == len(cuts) - 1,
                 ),
-                chunk,
-            ))
-        return frames
+                (keys[start:stop], counts[start:stop]),
+            )
+            for index, (start, stop) in enumerate(cuts)
+        ]
+
+    async def _frames(
+        self, table: str, batch: ArrayBatch, *, wait: bool
+    ) -> list[tuple[bytes, ArrayBatch]]:
+        """Pack one batch for the negotiated wire."""
+        if await self._binary_negotiated():
+            return self._binary_frames(table, batch, wait=wait)
+        return self._json_frames(table, batch, wait=wait)
 
     async def _build_frames(
         self,
         table: str,
-        pairs: list[tuple[Hashable, int]],
+        records: Iterable[tuple[Hashable, int]],
         *,
         wait: bool,
-    ) -> list[tuple[bytes, list[tuple[Hashable, int]]]]:
-        """Choose a wire for one batch and pack it into frames."""
-        if await self._binary_negotiated():
-            kind = await self._table_kind(table)
-            try:
-                return self._build_binary_frames(
-                    table, pairs, raw=kind != "topk", wait=wait)
-            except _WeightOverflow:
-                # The JSON wire could carry the count, but the server's
-                # counters are int64 and would refuse it anyway — fail
-                # here with the same code, before anything is enqueued.
-                raise ServiceError(
-                    "bad_request",
-                    "ingest counts must fit in int64; counters are 64-bit",
-                ) from None
-        return self._build_json_frames(table, pairs, wait=wait)
+    ) -> list[tuple[bytes, ArrayBatch]]:
+        """Convert one batch of records to arrays and pack it."""
+        encode = (await self._binary_negotiated()
+                  and await self._table_kind(table) != "topk")
+        return await self._frames(
+            table, record_arrays(records, encode=encode), wait=wait)
 
     async def _send_frames(
         self,
-        frames: list[tuple[bytes, list[tuple[Hashable, int]]]],
+        frames: list[tuple[bytes, ArrayBatch]],
         *,
         window: int = _DEFAULT_WINDOW,
     ) -> list[dict[str, Any]]:
@@ -541,6 +556,13 @@ class AsyncServiceClient:
             return [await self._transport.request_bytes(frames[0][0])]
         return await self._transport.request_stream(
             [frame for frame, _ in frames], window=window)
+
+    async def _send_batch(self, frames: list[tuple[bytes, ArrayBatch]]) -> int:
+        """Send one batch's frames; the final sub-batch's sequence number."""
+        last: dict[str, Any] = {}
+        for response in await self._send_frames(frames):
+            last = _raise_for_error(response)
+        return int(last["seq"])
 
     async def ingest(
         self,
@@ -556,15 +578,38 @@ class AsyncServiceClient:
         Batches too large for one frame are split transparently (the
         returned sequence number is the final sub-batch's); the wire —
         JSON or binary — follows the client's ``wire`` preference and
-        the server's advertised features.
+        the server's advertised features.  Counts are checked by
+        :func:`record_arrays` before anything is sent.
         """
-        pairs = [(item, int(count)) for item, count in records]
-        frames = await self._build_frames(table, pairs, wait=wait)
-        responses = await self._send_frames(frames)
-        last: dict[str, Any] = {}
-        for response in responses:
-            last = _raise_for_error(response)
-        return int(last["seq"])
+        return await self._send_batch(
+            await self._build_frames(table, records, wait=wait))
+
+    async def ingest_arrays(
+        self,
+        table: str,
+        keys: np.ndarray,
+        counts: np.ndarray,
+        *,
+        wait: bool = False,
+    ) -> int:
+        """Send one batch of ``uint64`` ``encode_key`` images and their
+        ``int64`` counts (1-D, one length, else ``ValueError``); returns
+        its sequence number, ``wait`` as in :meth:`ingest`.  Nothing is
+        boxed or re-encoded on the way; ``topk`` tables, which store
+        original items, refuse arrays with ``bad_request``."""
+        if not (isinstance(keys, np.ndarray) and keys.ndim == 1
+                and keys.dtype == np.uint64 and isinstance(counts, np.ndarray)
+                and counts.dtype == np.int64 and counts.shape == keys.shape):
+            raise ValueError("ingest_arrays takes 1-D uint64 keys and "
+                             "int64 counts of the same length")
+        if await self._table_kind(table) == "topk":
+            raise ServiceError(
+                "bad_request",
+                f"table {table!r} is 'topk' and stores original items; "
+                "send them with ingest(), key images are lossy",
+            )
+        return await self._send_batch(
+            await self._frames(table, (keys, counts), wait=wait))
 
     async def ingest_many(
         self,
@@ -580,7 +625,8 @@ class AsyncServiceClient:
         Keeps up to ``window`` frames in flight so the server's applier
         never idles waiting on an ack round-trip.  ``wait=True`` places
         a read barrier behind the final frame, so a following query
-        reflects every acknowledged record.
+        reflects every acknowledged record.  Every batch is converted
+        and checked (as in :meth:`ingest`) before any frame is sent.
 
         With ``retry_overloaded``, batches refused by a full queue are
         re-sent afterwards with a per-batch read barrier (natural
@@ -589,21 +635,20 @@ class AsyncServiceClient:
         commutes) but order-visible for ``topk``/``window`` tables;
         disable it there and handle :class:`OverloadedError` yourself.
         """
-        prepared = [
-            [(item, int(count)) for item, count in batch]
-            for batch in batches
-        ]
-        prepared = [pairs for pairs in prepared if pairs]
+        encode = (await self._binary_negotiated()
+                  and await self._table_kind(table) != "topk")
+        prepared = [record_arrays(batch, encode=encode) for batch in batches]
+        prepared = [batch for batch in prepared if batch[1].size]
         if not prepared:
             return 0
-        frames: list[tuple[bytes, list[tuple[Hashable, int]]]] = []
-        for index, pairs in enumerate(prepared):
-            frames.extend(await self._build_frames(
-                table, pairs, wait=wait and index == len(prepared) - 1))
+        frames: list[tuple[bytes, ArrayBatch]] = []
+        for index, batch in enumerate(prepared):
+            frames.extend(await self._frames(
+                table, batch, wait=wait and index == len(prepared) - 1))
         responses = await self._send_frames(frames, window=window)
         acknowledged = 0
-        retry: list[list[tuple[Hashable, int]]] = []
-        for (_, pairs), response in zip(frames, responses, strict=True):
+        retry: list[ArrayBatch] = []
+        for (_, batch), response in zip(frames, responses, strict=True):
             error = response.get("error")
             if (
                 not response.get("ok")
@@ -611,15 +656,15 @@ class AsyncServiceClient:
                 and isinstance(error, dict)
                 and error.get("code") == "overloaded"
             ):
-                retry.append(pairs)
+                retry.append(batch)
                 continue
             _raise_for_error(response)
-            acknowledged += len(pairs)
-        for pairs in retry:
-            rebuilt = await self._build_frames(table, pairs, wait=True)
+            acknowledged += batch[1].size
+        for batch in retry:
+            rebuilt = await self._frames(table, batch, wait=True)
             for response in await self._send_frames(rebuilt, window=window):
                 _raise_for_error(response)
-            acknowledged += len(pairs)
+            acknowledged += batch[1].size
         return acknowledged
 
     async def ingest_items(

@@ -59,9 +59,7 @@ from repro.store.checkpoint import CheckpointManager, CheckpointMismatchError
 from repro.store.format import SNAPSHOT_SUFFIX, StoreError, atomic_write_bytes
 
 if TYPE_CHECKING:
-    from collections.abc import Awaitable, Callable, Hashable, Iterable, Sequence
-
-    import numpy as np
+    from collections.abc import Awaitable, Callable, Hashable, Iterable
 
 __all__ = ["MANIFEST_NAME", "SketchServer"]
 
@@ -801,19 +799,14 @@ class SketchServer:
                     "binary batch has a record with a negative count; "
                     f"{table.spec.kind!r} tables are insert-only"
                 )
-        items: np.ndarray | Sequence[Hashable]
-        if frame.raw:
-            if table.spec.kind == "topk":
-                raise _BadRequest(
-                    f"table {frame.table!r} is 'topk' and stores original "
-                    "items; raw pre-encoded keys are lossy — send packed "
-                    "keys or use the JSON protocol"
-                )
-            assert frame.keys is not None
-            items = frame.keys
-        else:
-            assert frame.items is not None
-            items = frame.items
+        if frame.raw and table.spec.kind == "topk":
+            raise _BadRequest(
+                f"table {frame.table!r} is 'topk' and stores original "
+                "items; raw pre-encoded keys are lossy — send packed "
+                "keys or use the JSON protocol"
+            )
+        items = frame.keys if frame.raw else frame.items
+        assert items is not None
         seq = table.try_enqueue(items, weights)
         if frame.wait:
             await table.wait_applied(seq)

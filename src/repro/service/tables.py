@@ -33,6 +33,7 @@ from repro.core.countsketch import CountSketch
 from repro.core.topk import TopKTracker
 from repro.core.vectorized import VectorizedCountSketch
 from repro.core.windowed import JumpingWindowSketch
+from repro.hashing.vectorized import encode_keys
 from repro.service.limits import (
     TableQuotaExceededError,
     TokenBucket,
@@ -228,10 +229,9 @@ class _TableMetrics:
 class _Batch:
     """One acknowledged ingest batch, awaiting application.
 
-    ``items`` is either decoded stream objects (JSON / packed-binary
-    ingest) or a ``uint64`` ndarray of pre-encoded keys (raw-binary
-    ingest); ``counts`` is an ``int64`` ndarray exactly when ``items``
-    is an ndarray.
+    A table queues one representation only: a ``uint64`` ndarray of
+    ``encode_key`` images with ``int64`` counts for the linear and
+    window kinds, lists of original items and int counts for ``topk``.
     """
 
     seq: int
@@ -239,43 +239,18 @@ class _Batch:
     counts: list[int] | np.ndarray
 
 
-def _merge_runs(
+def _merge_batches(
     batches: list[_Batch],
-) -> list[tuple[list[Hashable] | np.ndarray, list[int] | np.ndarray]]:
-    """Coalesce consecutive same-representation batches into apply units.
-
-    Merging only adjacent batches keeps the applied record order equal
-    to the acknowledged order even when ndarray (binary) and list
-    (JSON) ingest interleave on one table.
-    """
+) -> tuple[list[Hashable] | np.ndarray, list[int] | np.ndarray]:
+    """Coalesce queued batches into one apply unit, in acknowledged
+    order: one concatenate (arrays) or one extend (lists)."""
     if len(batches) == 1:
-        return [(batches[0].items, batches[0].counts)]
-    runs: list[tuple[bool, list[_Batch]]] = []
-    for batch in batches:
-        is_array = isinstance(batch.items, np.ndarray)
-        if runs and runs[-1][0] == is_array:
-            runs[-1][1].append(batch)
-        else:
-            runs.append((is_array, [batch]))
-    merged: list[
-        tuple[list[Hashable] | np.ndarray, list[int] | np.ndarray]
-    ] = []
-    for is_array, run in runs:
-        if len(run) == 1:
-            merged.append((run[0].items, run[0].counts))
-        elif is_array:
-            merged.append((
-                np.concatenate([batch.items for batch in run]),
-                np.concatenate([batch.counts for batch in run]),
-            ))
-        else:
-            items: list[Hashable] = []
-            counts: list[int] = []
-            for batch in run:
-                items.extend(batch.items)
-                counts.extend(batch.counts)
-            merged.append((items, counts))
-    return merged
+        return batches[0].items, batches[0].counts
+    if isinstance(batches[0].items, np.ndarray):
+        return (np.concatenate([batch.items for batch in batches]),
+                np.concatenate([batch.counts for batch in batches]))
+    return ([item for batch in batches for item in batch.items],
+            [count for batch in batches for count in batch.counts])
 
 
 class ServiceTable:
@@ -390,9 +365,9 @@ class ServiceTable:
         surface it as an explicit ``overloaded`` response, never a
         silent drop.
 
-        NumPy arrays are enqueued as-is (the raw-binary zero-copy path:
-        a ``uint64`` key array plus its ``int64`` weights); list inputs
-        are copied defensively as before.
+        Every kind but ``topk`` (which stores items) queues ``uint64``
+        key images, encoded here once per batch (raw-binary arrays pass
+        through), and ``int64`` counts; summaries hash the same images.
         """
         if len(items) != len(counts):
             raise ValueError("items and counts must have the same length")
@@ -404,18 +379,12 @@ class ServiceTable:
                 self.spec.name, "ingest", len(items),
                 self._ingest_quota.retry_after(len(items)),
             )
-        kept_items: list[Hashable] | np.ndarray
-        kept_counts: list[int] | np.ndarray
-        if isinstance(items, np.ndarray):
-            kept_items = items
-            kept_counts = np.ascontiguousarray(counts, dtype=np.int64)
+        seq = self._enqueued_seq + 1
+        if self.spec.kind == "topk":
+            batch = _Batch(seq, list(items), np.asarray(counts).tolist())
         else:
-            kept_items = list(items)
-            kept_counts = (
-                counts.tolist() if isinstance(counts, np.ndarray)
-                else list(counts)
-            )
-        batch = _Batch(self._enqueued_seq + 1, kept_items, kept_counts)
+            batch = _Batch(seq, encode_keys(items),
+                           np.ascontiguousarray(counts, dtype=np.int64))
         try:
             self._queue.put_nowait(batch)
         except asyncio.QueueFull:
@@ -489,20 +458,17 @@ class ServiceTable:
     def _apply(self, batches: list[_Batch]) -> None:
         """Apply coalesced batches synchronously (between awaits).
 
-        Consecutive batches of like representation merge before the
-        apply call — ndarray runs concatenate (one vectorized call, no
-        per-record boxing), list runs extend.  Runs are applied in
-        arrival order, so order-sensitive summaries see the exact
-        acknowledged sequence.
+        The batches merge into one apply call (arrays concatenate into
+        one vectorized call, lists extend) in arrival order, so
+        order-sensitive summaries see the exact acknowledged sequence.
         """
         start = time.perf_counter()
-        applied = 0
-        for items, counts in _merge_runs(batches):
-            if self._manager is not None:
-                self._manager.update_batch(items, counts)
-            else:
-                apply_update_batch(self.summary, items, counts)
-            applied += len(items)
+        items, counts = _merge_batches(batches)
+        if self._manager is not None:
+            self._manager.update_batch(items, counts)
+        else:
+            apply_update_batch(self.summary, items, counts)
+        applied = len(items)
         self._records_applied += applied
         self._metrics.apply_seconds.observe(time.perf_counter() - start)
         self._metrics.applied_batches.inc(len(batches))

@@ -67,20 +67,13 @@ def apply_update_batch(
     scalar loop, preserving order-sensitive semantics (top-k heap
     admission, jumping-window rotation).  Either way the result is
     exactly the state an item-at-a-time feed would have produced.
-
-    A ``uint64`` ndarray of pre-encoded keys (the binary wire path) is
-    handed to ``update_batch`` as-is — boxing it into a list would cost
-    more than the wire decode it just avoided.
     """
     if len(items) != len(counts):
         raise ValueError("items and counts must have the same length")
     batch = getattr(summary, "update_batch", None)
     if batch is not None:
         if len(items):
-            if isinstance(items, np.ndarray):
-                batch(items, np.asarray(counts, dtype=np.int64))
-            else:
-                batch(list(items), np.asarray(counts, dtype=np.int64))
+            batch(items, np.asarray(counts, dtype=np.int64))
         return
     if isinstance(items, np.ndarray):
         # Scalar summaries get Python ints: a NumPy scalar hashes the
